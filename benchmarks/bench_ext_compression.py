@@ -3,14 +3,14 @@
 The paper's related work (Section VII) marks TernGrad/QSGD-style
 gradient compression as orthogonal work that "might be combined with
 Sync-Switch to achieve further training speedup".  This benchmark
-exercises that combination two ways: the legacy ASP ``compression``
-option (quantization noise interleaved with the jitter stream) and the
-registry's ``casp`` engine, which draws from a dedicated per-worker
-compression stream and is the protocol N-segment schedules use.
+exercises that combination through the registry's ``casp`` engine —
+ASP whose pushes pass through a compressor drawing from a dedicated
+per-worker compression stream, the protocol N-segment schedules use —
+with TernGrad and QSGD (the engine default) against dense ASP.
 Expected shape: compressed variants finish faster (smaller pushes) at
 near-identical accuracy (unbiased quantization adds modest gradient
-variance); ``casp`` matches legacy qsgd's time while keeping the
-timing/data streams bit-identical to plain ASP.
+variance), while their timing/data streams stay bit-identical to plain
+ASP.
 
 Besides the rendered table, the accuracy/time/bits trade-off lands in
 ``results/ext_compression.json`` for the perf trajectory.
@@ -26,12 +26,11 @@ from repro.mlcore.compression import make_compressor
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
-#: (row label, engine protocol, legacy compression option or None)
+#: (row label, engine protocol, casp compression option or None)
 VARIANTS = (
     ("dense", "asp", None),
-    ("ternary", "asp", "ternary"),
-    ("qsgd", "asp", "qsgd"),
-    ("casp", "casp", None),
+    ("ternary", "casp", "ternary"),
+    ("qsgd", "casp", "qsgd"),
 )
 
 
@@ -59,9 +58,7 @@ def _compression_report(runner) -> Report:
             for run in runs
             if not run.diverged
         ]
-        bits = _bits_per_coordinate(
-            "qsgd" if label == "casp" else compression
-        )
+        bits = _bits_per_coordinate(compression)
         rows.append(
             {
                 "compression": label,
@@ -91,9 +88,9 @@ def _compression_report(runner) -> Report:
         notes=[
             "TernGrad/QSGD quantization is unbiased: accuracy holds while "
             "communication (and hence ASP cycle time) shrinks",
-            "casp is the registry engine schedules use: default QSGD on a "
-            "dedicated compression RNG stream, jitter/data streams "
-            "bit-identical to plain ASP",
+            "compressed rows run the casp engine (the one schedules use): "
+            "quantization noise on a dedicated RNG stream, jitter/data "
+            "streams bit-identical to plain ASP",
             "paper Section VII: orthogonal techniques that can combine "
             "with Sync-Switch",
         ],

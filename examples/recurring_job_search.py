@@ -15,7 +15,7 @@ Usage::
 
 import sys
 
-from repro.core.search import OfflineTimingSearch, SearchConfig
+from repro.core.search import SearchConfig, run_search
 from repro.experiments import ExperimentRunner
 from repro.experiments.setups import SETUPS
 
@@ -29,7 +29,8 @@ def main() -> None:
     print(f"new job: {setup.describe()} at scale {scale}")
     print(f"searching with {setup.search_max_settings} settings x {runs} runs...\n")
 
-    def trial(fraction: float, run_index: int):
+    def trial(protocols, fractions, run_index: int):
+        fraction = fractions[0]  # BSP share of the two-phase switch
         result = runner.run(
             setup, {"kind": "switch", "percent": fraction * 100.0}, run_index
         )
@@ -46,13 +47,12 @@ def main() -> None:
         runs_per_setting=runs,
         bsp_runs=runs,
     )
-    outcome = OfflineTimingSearch(trial, config).search()
+    outcome = run_search(trial, config)
 
-    bsp_time = sum(
-        trial.time for trial in outcome.trials if trial.switch_fraction == 1.0
-    ) / max(
-        sum(1 for trial in outcome.trials if trial.switch_fraction == 1.0), 1
-    )
+    bsp_times = [
+        trial.time for trial in outcome.trials if trial.fractions[0] == 1.0
+    ]
+    bsp_time = sum(bsp_times) / max(len(bsp_times), 1)
     policy_runs = runner.run_many(
         setup, {"kind": "switch", "percent": outcome.switch_percent}, runs
     )

@@ -30,7 +30,7 @@ import logging
 import sys
 from pathlib import Path
 
-from repro.core.search import OfflineTimingSearch, ScheduleSearch, SearchConfig
+from repro.core.search import TWO_PHASE, SearchConfig, run_search
 from repro.errors import ConfigurationError, SearchError
 from repro.experiments import (
     ARTIFACTS,
@@ -488,11 +488,25 @@ def _cmd_search(args) -> int:
         runs_per_setting=args.runs,
         bsp_runs=args.runs,
     )
-    if args.protocols:
-        return _cmd_search_schedule(args, setup, runner, config)
+    sequences = (
+        tuple(_parse_protocols(value) for value in args.protocols)
+        if args.protocols
+        else (TWO_PHASE,)
+    )
 
-    def trial(fraction: float, run_index: int):
-        spec = {"kind": "switch", "percent": fraction * 100.0}
+    def trial(
+        protocols: tuple[str, ...], fractions: tuple[float, ...],
+        run_index: int,
+    ):
+        # The two-phase switch trains the same cells `report` caches.
+        if protocols == TWO_PHASE:
+            spec = {"kind": "switch", "percent": fractions[0] * 100.0}
+        else:
+            spec = {
+                "kind": "schedule",
+                "protocols": list(protocols),
+                "fractions": [float(value) for value in fractions],
+            }
         # Batch all of this setting's repetitions up front so --jobs
         # parallelises them; later run_index calls replay from cache.
         runner.prefetch([(setup, spec)], seeds=args.runs)
@@ -500,35 +514,8 @@ def _cmd_search(args) -> int:
         accuracy = 0.0 if result.diverged else (result.reported_accuracy or 0.0)
         return accuracy, result.total_time
 
-    outcome = OfflineTimingSearch(trial, config).search()
-    print(f"setup            : {setup.describe()}")
-    print(f"found switch     : {outcome.switch_percent:g}%")
-    print(f"target accuracy  : {outcome.target_accuracy:.4f}")
-    print(f"sessions trained : {outcome.n_sessions}")
-    print(f"search time      : {outcome.search_time:.0f} simulated seconds")
-    return 0
-
-
-def _cmd_search_schedule(args, setup, runner, config) -> int:
-    """The ``search --protocols`` path: N-segment schedule search."""
-    sequences = tuple(_parse_protocols(value) for value in args.protocols)
-
-    def trial(
-        protocols: tuple[str, ...], fractions: tuple[float, ...],
-        run_index: int,
-    ):
-        spec = {
-            "kind": "schedule",
-            "protocols": list(protocols),
-            "fractions": [float(value) for value in fractions],
-        }
-        runner.prefetch([(setup, spec)], seeds=args.runs)
-        result = runner.run(setup, spec, run_index)
-        accuracy = 0.0 if result.diverged else (result.reported_accuracy or 0.0)
-        return accuracy, result.total_time
-
     try:
-        outcome = ScheduleSearch(trial, config, sequences).search()
+        outcome = run_search(trial, config, sequences)
     except SearchError as exc:
         _LOG.error("error: %s", exc)
         return 2
@@ -536,6 +523,7 @@ def _cmd_search_schedule(args, setup, runner, config) -> int:
     print(f"setup            : {setup.describe()}")
     print(f"found schedule   : {outcome.describe()}")
     print(f"fractions        : {fractions}")
+    print(f"found switch     : {outcome.switch_percent:g}%")
     print(f"target accuracy  : {outcome.target_accuracy:.4f}")
     print(f"sessions trained : {outcome.n_sessions}")
     print(f"search time      : {outcome.search_time:.0f} simulated seconds")

@@ -34,9 +34,10 @@ from repro.core.runtime import (
     ThroughputProfiler,
 )
 from repro.core.search import (
-    OfflineTimingSearch,
+    ScheduleSearchSession,
     SearchCostSimulator,
     SearchSetting,
+    run_search,
 )
 
 __all__ = [
@@ -45,10 +46,10 @@ __all__ = [
     "ElasticPolicy",
     "GreedyPolicy",
     "HookManager",
-    "OfflineTimingSearch",
     "ParallelActuator",
     "PolicyManager",
     "ProtocolPolicy",
+    "ScheduleSearchSession",
     "SearchCostSimulator",
     "SearchSetting",
     "SequentialActuator",
@@ -56,4 +57,5 @@ __all__ = [
     "SyncSwitchController",
     "ThroughputProfiler",
     "TimingPolicy",
+    "run_search",
 ]

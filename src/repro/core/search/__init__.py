@@ -1,15 +1,14 @@
 """Timing and schedule search (Algorithm 1) and its cost analysis."""
 
 from repro.core.search.binary_search import (
-    OfflineTimingSearch,
+    TWO_PHASE,
     ScheduleCandidate,
-    ScheduleSearch,
-    ScheduleSearchResult,
-    ScheduleTrialOutcome,
+    ScheduleSearchSession,
     SearchConfig,
-    SearchResult,
-    TrialOutcome,
+    SearchOutcome,
+    SearchTrial,
     boundary_fractions,
+    run_search,
 )
 from repro.core.search.cost_model import (
     ProfileModel,
@@ -19,17 +18,16 @@ from repro.core.search.cost_model import (
 )
 
 __all__ = [
-    "OfflineTimingSearch",
+    "TWO_PHASE",
     "ProfileModel",
     "ScheduleCandidate",
-    "ScheduleSearch",
-    "ScheduleSearchResult",
-    "ScheduleTrialOutcome",
+    "ScheduleSearchSession",
     "SearchConfig",
     "SearchCostReport",
     "SearchCostSimulator",
-    "SearchResult",
+    "SearchOutcome",
     "SearchSetting",
-    "TrialOutcome",
+    "SearchTrial",
     "boundary_fractions",
+    "run_search",
 ]

@@ -29,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.search.binary_search import (
-    OfflineTimingSearch,
-    SearchConfig,
-)
+from repro.core.search.binary_search import SearchConfig, run_search
 from repro.errors import SearchError
 from repro.rng import make_rng
 
@@ -221,8 +218,8 @@ class SearchCostSimulator:
         valids = np.empty(n_simulations)
         successes = 0
         for sim in range(n_simulations):
-            def trial(fraction: float, run: int) -> tuple[float, float]:
-                return self.profile.sample(fraction, rng)
+            def trial(protocols, fractions, run) -> tuple[float, float]:
+                return self.profile.sample(fractions[0], rng)
 
             config = SearchConfig(
                 beta=self.beta,
@@ -231,7 +228,7 @@ class SearchCostSimulator:
                 target_accuracy=bsp_accuracy if setting.recurring else None,
                 bsp_runs=max(setting.bsp_runs, 1),
             )
-            result = OfflineTimingSearch(trial, config).search()
+            result = run_search(trial, config)
             costs[sim] = result.search_time
             valids[sim] = result.valid_sessions
             if abs(result.switch_fraction - self._ground_truth) < 1e-9:
@@ -253,10 +250,10 @@ class SearchCostSimulator:
         """Algorithm 1 on the mean curves (defines the ground truth)."""
         target = self.profile.bsp_mean_accuracy()
 
-        def trial(fraction: float, run: int) -> tuple[float, float]:
+        def trial(protocols, fractions, run) -> tuple[float, float]:
             return (
-                self.profile.mean_accuracy(fraction),
-                self.profile.mean_time(fraction),
+                self.profile.mean_accuracy(fractions[0]),
+                self.profile.mean_time(fractions[0]),
             )
 
         config = SearchConfig(
@@ -265,4 +262,4 @@ class SearchCostSimulator:
             runs_per_setting=1,
             target_accuracy=target,
         )
-        return OfflineTimingSearch(trial, config).search().switch_fraction
+        return run_search(trial, config).switch_fraction

@@ -24,13 +24,8 @@ from repro.distsim.engines.base import (
     TrainingSession,
 )
 from repro.distsim.events import EventQueue
-from repro.mlcore.compression import GradientCompressor, make_compressor
 
 __all__ = ["ASPEngine"]
-
-#: Share of the per-batch fixed overhead that is gradient/parameter
-#: communication (the part gradient compression can shrink).
-COMM_FRACTION = 0.5
 
 
 @dataclass(slots=True)
@@ -52,9 +47,7 @@ class ASPEngine:
         "batch_size": "per-worker mini-batch size (default: job batch size)",
         "lr_multiplier": "learning-rate scale (default: 1.0)",
         "momentum_schedule": "post-switch momentum ramp (MomentumSchedule)",
-        "compression": "gradient compressor name or instance (default: none)",
     }
-    _compressor: GradientCompressor | None = None
 
     def run(
         self,
@@ -66,7 +59,6 @@ class ASPEngine:
         options = options or {}
         batch_size = int(options.get("batch_size", session.job.batch_size))
         lr_multiplier = float(options.get("lr_multiplier", 1.0))
-        self._compressor = self._resolve_compressor(options.get("compression"))
         session.note_async_phase(options.get("momentum_schedule"))
 
         target = session.step + steps
@@ -98,12 +90,8 @@ class ASPEngine:
                 loss, grad = batcher.gradient_for(worker, states)
                 del states[worker]
                 session.ps.release(state.params)
-                if self._compressor is not None:
-                    grad = self._compressor.compress(
-                        grad, self._compression_rng(session, worker)
-                    )
                 lr = session.base_lr_now() * lr_multiplier
-                session.ps.push(grad, lr, momentum=session.momentum_now())
+                self._push(session, worker, grad, lr)
                 session.telemetry.record_worker_duration(
                     apply_time, worker, apply_time - state.start_time
                 )
@@ -160,33 +148,13 @@ class ASPEngine:
         duration = max(duration - self._comm_saving(session), 1e-4)
         queue.push(now + duration, worker)
 
-    def _compression_rng(
-        self, session: TrainingSession, worker: int
-    ) -> np.random.Generator:
-        """Stream compression randomness draws from.
-
-        The legacy ASP ``compression`` option interleaves with the
-        timing-jitter stream (pre-registry behaviour, kept bit-exact);
-        :class:`~repro.distsim.engines.casp.CASPEngine` overrides this
-        with the session's dedicated compression stream.
-        """
-        return session.time_rng(worker)
-
-    def _resolve_compressor(self, spec) -> GradientCompressor | None:
-        """Accept a compressor instance, a name, or None."""
-        if spec is None:
-            return None
-        if isinstance(spec, str):
-            return make_compressor(spec)
-        return spec
+    def _push(
+        self, session: TrainingSession, worker: int, grad: np.ndarray,
+        lr: float,
+    ) -> None:
+        """Apply one worker's gradient at the parameter server."""
+        session.ps.push(grad, lr, momentum=session.momentum_now())
 
     def _comm_saving(self, session: TrainingSession) -> float:
-        """Per-batch seconds saved by compressing gradient traffic."""
-        if self._compressor is None:
-            return 0.0
-        ratio = self._compressor.compression_ratio()
-        if ratio <= 1.0:
-            return 0.0
-        return (
-            session.timing.batch_overhead * COMM_FRACTION * (1.0 - 1.0 / ratio)
-        )
+        """Per-batch seconds saved on gradient traffic (none: dense push)."""
+        return 0.0

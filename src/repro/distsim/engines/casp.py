@@ -6,16 +6,13 @@ ASP event loop: every gradient a worker pushes to the
 passes through an unbiased compressor from
 :mod:`repro.mlcore.compression` (default: QSGD quantization), and the
 per-batch communication share of the fixed overhead shrinks by the
-compression ratio (see ``ASPEngine._comm_saving``).
+compression ratio.
 
-The one behavioural difference from passing ``compression`` to plain
-ASP is *where the randomness comes from*: the legacy option draws
-compression noise from the worker's timing-jitter stream (shifting
-every subsequent jitter draw — the PR-4 stream-shift note), while this
-engine draws from the session's dedicated lazily-created
-``compress/{worker}`` child streams.  Uncompressed runs therefore stay
-bit-identical to the committed golden hashes, and a casp run's timing
-and data streams are bit-identical to the equivalent plain-ASP run's.
+Compression noise comes from the session's dedicated lazily-created
+``compress/{worker}`` child streams, never from the timing-jitter
+stream: uncompressed runs stay bit-identical to the committed golden
+hashes, and a casp run's timing and data streams are bit-identical to
+the equivalent plain-ASP run's.
 """
 
 from __future__ import annotations
@@ -24,11 +21,16 @@ import numpy as np
 
 from repro.distsim.engines.asp import ASPEngine
 from repro.distsim.engines.base import StopCondition, TrainingSession
+from repro.mlcore.compression import GradientCompressor, make_compressor
 
-__all__ = ["CASPEngine", "DEFAULT_COMPRESSION"]
+__all__ = ["CASPEngine", "COMM_FRACTION", "DEFAULT_COMPRESSION"]
 
 #: Compressor used when the plan does not pick one explicitly.
 DEFAULT_COMPRESSION = "qsgd"
+
+#: Share of the per-batch fixed overhead that is gradient/parameter
+#: communication (the part gradient compression can shrink).
+COMM_FRACTION = 0.5
 
 
 class CASPEngine(ASPEngine):
@@ -38,12 +40,11 @@ class CASPEngine(ASPEngine):
     precision = 50
     synchronous = False
     config_schema = {
-        "batch_size": "per-worker mini-batch size (default: job batch size)",
-        "lr_multiplier": "learning-rate scale (default: 1.0)",
-        "momentum_schedule": "post-switch momentum ramp (MomentumSchedule)",
+        **ASPEngine.config_schema,
         "compression": f"gradient compressor name or instance (default: "
         f"{DEFAULT_COMPRESSION!r})",
     }
+    _compressor: GradientCompressor
 
     def run(
         self,
@@ -52,11 +53,24 @@ class CASPEngine(ASPEngine):
         options: dict | None = None,
         stop: StopCondition | None = None,
     ) -> str:
-        options = dict(options or {})
-        options.setdefault("compression", DEFAULT_COMPRESSION)
+        spec = (options or {}).get("compression", DEFAULT_COMPRESSION)
+        self._compressor = (
+            make_compressor(spec) if isinstance(spec, str) else spec
+        )
         return super().run(session, steps, options, stop)
 
-    def _compression_rng(
-        self, session: TrainingSession, worker: int
-    ) -> np.random.Generator:
-        return session.compression_rng(worker)
+    def _push(
+        self, session: TrainingSession, worker: int, grad: np.ndarray,
+        lr: float,
+    ) -> None:
+        grad = self._compressor.compress(grad, session.compression_rng(worker))
+        super()._push(session, worker, grad, lr)
+
+    def _comm_saving(self, session: TrainingSession) -> float:
+        """Per-batch seconds saved by compressing gradient traffic."""
+        ratio = self._compressor.compression_ratio()
+        if ratio <= 1.0:
+            return 0.0
+        return (
+            session.timing.batch_overhead * COMM_FRACTION * (1.0 - 1.0 / ratio)
+        )

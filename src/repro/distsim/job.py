@@ -61,7 +61,9 @@ class Segment:
 
     ``fraction`` is the share of the job's step budget this segment
     covers.  ``options`` carries protocol-specific knobs (e.g. the SSP
-    staleness bound).
+    staleness bound); every key must be declared in the engine's
+    ``config_schema``, so a misspelled knob fails instead of being
+    silently ignored.
     """
 
     protocol: str
@@ -71,7 +73,7 @@ class Segment:
     def __post_init__(self):
         # Local import: the engine registry is the single source of
         # protocol names, and the engines package imports this module.
-        from repro.distsim.engines import known_protocols
+        from repro.distsim.engines import engine_spec, known_protocols
 
         if self.protocol not in known_protocols():
             raise ConfigurationError(
@@ -80,6 +82,13 @@ class Segment:
             )
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigurationError("fraction must be in [0, 1]")
+        schema = engine_spec(self.protocol).config_schema
+        unknown = sorted(set(self.options) - set(schema))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.protocol} does not understand option(s) {unknown}; "
+                f"declared: {sorted(schema)}"
+            )
 
 
 @dataclass(frozen=True)

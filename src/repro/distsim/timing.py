@@ -47,10 +47,9 @@ class ChunkedLognormalNoise:
 
     The wrapper must be the generator's *only* consumer: any direct
     draw from ``rng`` after a refill would observe a stream that has
-    already advanced past the buffered values.  Components that share a
-    worker's generator with other distributions (gradient compression)
-    keep using the raw generator and accept a shifted-but-deterministic
-    stream; see ``docs/performance.md``.
+    already advanced past the buffered values.  Other randomness
+    (gradient compression) draws from its own per-worker child stream;
+    see ``docs/performance.md``.
     """
 
     __slots__ = ("_rng", "_sigma", "_chunk", "_buffer", "_index")

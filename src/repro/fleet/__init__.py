@@ -5,11 +5,10 @@ serving-scale simulator of the paper's intended setting — recurring
 training jobs on a shared cluster (Section VI-C): job arrival streams
 (:mod:`repro.fleet.workload`), pluggable schedulers including
 deadline/SLO-aware admission (:mod:`repro.fleet.scheduler`), the
-discrete-event loop (:mod:`repro.fleet.fleet_sim`), the amortized
-Algorithm 1 timing search run as fleet jobs
-(:mod:`repro.fleet.tuning`) with its per-class policy cache and
-break-even ledger (:mod:`repro.fleet.policy_store`), and fleet
-telemetry (:mod:`repro.fleet.metrics`).
+discrete-event loop (:mod:`repro.fleet.fleet_sim`), which runs the
+amortized Algorithm 1 timing search as fleet jobs, its per-class
+policy cache and break-even ledger (:mod:`repro.fleet.policy_store`),
+and fleet telemetry (:mod:`repro.fleet.metrics`).
 """
 
 from repro.fleet.fleet_sim import (
@@ -32,7 +31,6 @@ from repro.fleet.policy_store import (
     JobClass,
     PolicyStore,
     policy_from_schedule_search,
-    policy_from_search,
 )
 from repro.fleet.scheduler import (
     SCHEDULERS,
@@ -44,7 +42,6 @@ from repro.fleet.scheduler import (
     SmallestJobFirstScheduler,
     make_scheduler,
 )
-from repro.fleet.tuning import ScheduleSearchSession, TimingSearchSession
 from repro.fleet.workload import (
     DEFAULT_TENANT_TIERS,
     FLEET_SCENARIOS,
@@ -85,13 +82,11 @@ __all__ = [
     "JobRecord",
     "JobRequest",
     "PolicyStore",
-    "ScheduleSearchSession",
     "SchedulerContext",
     "SchedulerPolicy",
     "SloAwareScheduler",
     "SmallestJobFirstScheduler",
     "TenantTier",
-    "TimingSearchSession",
     "TraceScenario",
     "WorkerPool",
     "assign_shards",
@@ -103,7 +98,6 @@ __all__ = [
     "percentile",
     "poisson_stream",
     "policy_from_schedule_search",
-    "policy_from_search",
     "resolve_percent",
     "save_trace",
     "simulate_fleet",

@@ -80,7 +80,12 @@ from repro.core.policies import (
     TimingPolicy,
 )
 from repro.core.runtime import ElasticTrainingRun, SyncSwitchController
-from repro.core.search.binary_search import SearchConfig, validate_sequences
+from repro.core.search.binary_search import (
+    TWO_PHASE,
+    ScheduleSearchSession,
+    SearchConfig,
+    validate_sequences,
+)
 from repro.distsim.cluster import ClusterSpec, WorkerTier, default_worker_tiers
 from repro.distsim.engines import synchronous_protocols
 from repro.distsim.stragglers import (
@@ -99,14 +104,12 @@ from repro.fleet.policy_store import (
     JobClass,
     PolicyStore,
     policy_from_schedule_search,
-    policy_from_search,
 )
 from repro.fleet.scheduler import (
     SchedulerContext,
     SchedulerPolicy,
     make_scheduler,
 )
-from repro.fleet.tuning import ScheduleSearchSession, TimingSearchSession
 from repro.fleet.workload import (
     FLEET_SCENARIOS,
     TRACE_SCENARIOS,
@@ -574,11 +577,9 @@ class FleetSimulator:
         self._records: list[JobRecord] = []
         self._busy_seconds = 0.0
         self._last_time = 0.0
-        # Tuning state: in-flight search sessions (two-phase or
-        # schedule) and the class of every injected search-trial job.
-        self._sessions: dict[
-            JobClass, TimingSearchSession | ScheduleSearchSession
-        ] = {}
+        # Tuning state: in-flight search sessions and the class of
+        # every injected search-trial job.
+        self._sessions: dict[JobClass, ScheduleSearchSession] = {}
         self._trial_class: dict[int, JobClass] = {}
         self._next_trial_id = max(ids, default=-1) + 1
         # SLO state: pending degrade decisions from scheduler triage.
@@ -1160,7 +1161,7 @@ class FleetSimulator:
         nothing left to search) and each class searches exactly once.
         With ``FleetConfig.protocols`` set the search is the N-segment
         schedule search over that sequence's boundaries; otherwise the
-        paper's two-phase Algorithm 1.
+        paper's two-phase BSP -> ASP Algorithm 1.
         """
         if request.kind != "train" or request.sync_policy != "sync-switch":
             return
@@ -1179,12 +1180,9 @@ class FleetSimulator:
             runs_per_setting=self.config.tune_runs,
             bsp_runs=self.config.tune_runs,
         )
-        if self.config.protocols is not None:
-            session = ScheduleSearchSession(
-                search_config, sequences=(self.config.protocols,)
-            )
-        else:
-            session = TimingSearchSession(search_config)
+        session = ScheduleSearchSession(
+            search_config, (self.config.protocols or TWO_PHASE,)
+        )
         session.tracer = self.tracer
         self.store.begin_search(job_class)
         if self.tracer.enabled:
@@ -1206,37 +1204,25 @@ class FleetSimulator:
     ) -> None:
         """Enqueue the session's next batch of trials as fleet jobs.
 
-        Two-phase sessions hand out switch fractions; schedule sessions
-        hand out per-segment fraction vectors, which ride on the trial
-        request's ``protocols``/``fractions`` fields (the override
-        still pins the segment-0 share so service estimates and reports
-        see the familiar BSP percentage).
+        Each trial's per-segment fraction vector rides on the request's
+        ``protocols``/``fractions`` fields; the override still pins the
+        segment-0 share so service estimates and reports see the
+        familiar BSP percentage.
         """
-        for item in session.next_batch():
+        for fractions in session.next_batch():
             job_id = self._next_trial_id
             self._next_trial_id += 1
-            if isinstance(item, tuple):
-                trial = JobRequest(
-                    job_id=job_id,
-                    arrival=now,
-                    setup_index=job_class.setup_index,
-                    n_workers=job_class.n_workers,
-                    sync_policy="sync-switch",
-                    kind="search-trial",
-                    percent_override=item[0] * 100.0,
-                    protocols=session.protocols,
-                    fractions=item,
-                )
-            else:
-                trial = JobRequest(
-                    job_id=job_id,
-                    arrival=now,
-                    setup_index=job_class.setup_index,
-                    n_workers=job_class.n_workers,
-                    sync_policy="sync-switch",
-                    kind="search-trial",
-                    percent_override=item * 100.0,
-                )
+            trial = JobRequest(
+                job_id=job_id,
+                arrival=now,
+                setup_index=job_class.setup_index,
+                n_workers=job_class.n_workers,
+                sync_policy="sync-switch",
+                kind="search-trial",
+                percent_override=fractions[0] * 100.0,
+                protocols=session.protocols,
+                fractions=fractions,
+            )
             self._trial_class[job_id] = job_class
             self._push(now, _ARRIVAL, trial)
 
@@ -1261,14 +1247,9 @@ class FleetSimulator:
             return
         if session.done:
             del self._sessions[job_class]
-            if isinstance(session, ScheduleSearchSession):
-                policy = policy_from_schedule_search(
-                    job_class, session.result(), tuned_at=now
-                )
-            else:
-                policy = policy_from_search(
-                    job_class, session.result(), tuned_at=now
-                )
+            policy = policy_from_schedule_search(
+                job_class, session.result(), tuned_at=now
+            )
             self.store.install(policy)
             if self.tracer.enabled:
                 self.tracer.instant(

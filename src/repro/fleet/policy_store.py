@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.search.binary_search import ScheduleSearchResult, SearchResult
+from repro.core.search.binary_search import TWO_PHASE, SearchOutcome
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.workload import JobRequest, estimate_service_time
 
@@ -43,7 +43,6 @@ __all__ = [
     "ClassPolicy",
     "PolicyStore",
     "policy_from_schedule_search",
-    "policy_from_search",
 ]
 
 #: On-disk payload version for persisted stores; bump on any breaking
@@ -99,13 +98,13 @@ class ClassPolicy:
     search_cost: float
     n_trials: int
     tuned_at: float
-    #: The searched protocol sequence.  Two-phase timing searches (and
-    #: version-1 payloads) leave ``fractions`` at None: the policy is
+    #: The searched protocol sequence.  Two-phase BSP -> ASP searches
+    #: (and version-1 payloads) leave ``fractions`` at None: the policy is
     #: the paper's percent-only switch point and recurrences train
     #: exactly as before the schedule generalization.  Schedule
     #: searches fill both fields and recurrences replay the full
     #: N-segment plan.
-    protocols: tuple[str, ...] = ("bsp", "asp")
+    protocols: tuple[str, ...] = TWO_PHASE
     fractions: tuple[float, ...] | None = None
 
     def schedule_label(self) -> str:
@@ -136,43 +135,8 @@ class ClassPolicy:
         return self.search_cost_x / (1.0 - self.policy_time / self.bsp_time)
 
 
-def policy_from_search(
-    job_class: JobClass, result: SearchResult, tuned_at: float
-) -> ClassPolicy:
-    """Fold a finished Algorithm 1 run into a :class:`ClassPolicy`.
-
-    The baseline time is the mean of the search's static-BSP sessions
-    and the tuned time the mean of the sessions trained at the found
-    switch fraction (Algorithm 1 only ever returns a fraction it
-    visited, so both sets are non-empty for new-job searches).
-    """
-    bsp_times = [
-        trial.time for trial in result.trials if trial.switch_fraction == 1.0
-    ]
-    if not bsp_times:
-        raise FleetError(
-            f"search for {job_class.label()} trained no static-BSP session; "
-            "cannot price the baseline"
-        )
-    tuned_times = [
-        trial.time
-        for trial in result.trials
-        if trial.switch_fraction == result.switch_fraction
-    ]
-    return ClassPolicy(
-        job_class=job_class,
-        percent=result.switch_percent,
-        target_accuracy=result.target_accuracy,
-        bsp_time=sum(bsp_times) / len(bsp_times),
-        policy_time=sum(tuned_times) / len(tuned_times),
-        search_cost=result.search_time,
-        n_trials=result.n_sessions,
-        tuned_at=tuned_at,
-    )
-
-
 def policy_from_schedule_search(
-    job_class: JobClass, result: ScheduleSearchResult, tuned_at: float
+    job_class: JobClass, result: SearchOutcome, tuned_at: float
 ) -> ClassPolicy:
     """Fold a finished N-segment schedule search into a :class:`ClassPolicy`.
 
@@ -181,7 +145,8 @@ def policy_from_schedule_search(
     static-BSP target runs); the tuned time is the mean of the sessions
     trained at the winning schedule, falling back to the baseline when
     the winner is a degenerate all-opener schedule that only the target
-    runs visited.
+    runs visited.  A two-phase BSP -> ASP result is stored percent-only
+    (``fractions=None``), so recurrences train the paper's switch.
     """
     bsp_times = [
         trial.time for trial in result.trials if trial.fractions[0] == 1.0
@@ -207,7 +172,7 @@ def policy_from_schedule_search(
         n_trials=result.n_sessions,
         tuned_at=tuned_at,
         protocols=result.protocols,
-        fractions=result.fractions,
+        fractions=None if result.protocols == TWO_PHASE else result.fractions,
     )
 
 
@@ -499,7 +464,7 @@ class PolicyStore:
                     n_trials=int(entry["n_trials"]),
                     tuned_at=float(entry["tuned_at"]),
                     protocols=(
-                        ("bsp", "asp")
+                        TWO_PHASE
                         if protocols is None
                         else tuple(str(name) for name in protocols)
                     ),

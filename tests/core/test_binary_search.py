@@ -1,11 +1,22 @@
-"""Tests for Algorithm 1 (offline timing search)."""
+"""Tests for Algorithm 1 (offline timing search).
+
+The two-phase search is :func:`~repro.core.search.run_search` over the
+default ``("bsp", "asp")`` sequence; the synthetic runners here take the
+BSP share through :func:`search_oracle.two_phase`.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import OfflineTimingSearch, SearchConfig
+from repro.core.search import SearchConfig, run_search
 from repro.errors import SearchError
+from search_oracle import algorithm1, two_phase
+
+
+def search(trial, config):
+    """The offline two-phase search over a ``(fraction, run)`` sampler."""
+    return run_search(two_phase(trial), config)
 
 
 def knee_runner(knee=0.0625, good=0.92, bad_slope=0.5, bsp_time=100.0):
@@ -35,23 +46,48 @@ class TestSearchConfig:
 
 
 class TestOfflineTimingSearch:
+    @given(
+        st.floats(min_value=0.02, max_value=0.6),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+    )
+    @settings(max_examples=30)
+    def test_trial_stream_matches_paper_pseudocode(self, knee, runs, recurring):
+        """Same sessions, target and switch point as Algorithm 1 itself."""
+        trial = knee_runner(knee=knee)
+        target = 0.92 if recurring else None
+        result = search(
+            trial,
+            SearchConfig(beta=0.01, max_settings=5, runs_per_setting=runs,
+                         target_accuracy=target, bsp_runs=2),
+        )
+        switch, expected_target, sessions = algorithm1(
+            trial, beta=0.01, max_settings=5, runs=runs, target=target,
+            bsp_runs=2,
+        )
+        assert result.switch_fraction == switch
+        assert result.target_accuracy == expected_target
+        assert [
+            (t.fractions[0], t.run_index, t.accuracy, t.time)
+            for t in result.trials
+        ] == sessions
+
     def test_finds_knee_with_five_settings(self):
         """Binary search path 50->25->12.5->6.25->3.125 lands on 6.25%."""
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(knee=0.0625),
             SearchConfig(beta=0.01, max_settings=5, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        result = search.search()
         assert result.switch_fraction == pytest.approx(0.0625)
 
     def test_finds_coarser_knee_with_fewer_settings(self):
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(knee=0.125),
             SearchConfig(beta=0.01, max_settings=4, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        assert search.search().switch_fraction == pytest.approx(0.125)
+        assert result.switch_fraction == pytest.approx(0.125)
 
     def test_single_setting_checks_only_50_percent(self):
         calls = []
@@ -60,24 +96,22 @@ class TestOfflineTimingSearch:
             calls.append(fraction)
             return 0.92, 50.0
 
-        search = OfflineTimingSearch(
+        result = search(
             trial,
             SearchConfig(max_settings=1, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        result = search.search()
         assert calls == [0.5]
         assert result.switch_fraction == pytest.approx(0.5)
 
     def test_estimates_target_from_bsp_runs(self):
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(),
             SearchConfig(beta=0.01, max_settings=3, runs_per_setting=1,
                          bsp_runs=3),
         )
-        result = search.search()
         assert result.target_accuracy == pytest.approx(0.92)
-        bsp_trials = [t for t in result.trials if t.switch_fraction == 1.0]
+        bsp_trials = [t for t in result.trials if t.fractions[0] == 1.0]
         assert len(bsp_trials) == 3
 
     def test_diverged_trials_push_lower_bound_up(self):
@@ -88,20 +122,19 @@ class TestOfflineTimingSearch:
                 return 0.0, 5.0  # diverged: fast failure
             return 0.92, 100.0
 
-        search = OfflineTimingSearch(
+        result = search(
             trial,
             SearchConfig(beta=0.01, max_settings=5, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        assert search.search().switch_fraction == pytest.approx(0.5)
+        assert result.switch_fraction == pytest.approx(0.5)
 
     def test_search_time_accumulates_all_sessions(self):
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(),
             SearchConfig(beta=0.01, max_settings=2, runs_per_setting=2,
                          bsp_runs=2),
         )
-        result = search.search()
         assert result.n_sessions == 2 + 2 * 2
         assert result.search_time == pytest.approx(
             sum(trial.time for trial in result.trials)
@@ -113,21 +146,20 @@ class TestOfflineTimingSearch:
         def noisy_trial(fraction, run_index):
             return next(flips), 10.0
 
-        search = OfflineTimingSearch(
+        result = search(
             noisy_trial,
             SearchConfig(beta=0.02, max_settings=1, runs_per_setting=4,
                          target_accuracy=0.92),
         )
         # mean = 0.89 -> outside beta -> candidate rejected -> upper stays 1.0
-        assert search.search().switch_fraction == pytest.approx(1.0)
+        assert result.switch_fraction == pytest.approx(1.0)
 
     def test_valid_sessions_counted(self):
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(knee=0.0625),
             SearchConfig(beta=0.01, max_settings=5, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        result = search.search()
         # path: 50, 25, 12.5, 6.25 valid; 3.125 invalid
         assert result.valid_sessions == 4
 
@@ -144,12 +176,11 @@ class TestOfflineTimingSearch:
             accuracy, time = knee_runner(knee=knee)(fraction, run_index)
             return accuracy, time
 
-        search = OfflineTimingSearch(
+        result = search(
             trial,
             SearchConfig(beta=0.005, max_settings=settings_count,
                          runs_per_setting=1, target_accuracy=0.92),
         )
-        result = search.search()
         assert 0.0 <= result.switch_fraction <= 1.0
         assert result.switch_fraction in set(visited) | {1.0}
 
@@ -163,11 +194,11 @@ class TestOfflineTimingSearch:
         accuracy, not on the knee location itself.
         """
         beta, slope = 0.005, 2.0
-        search = OfflineTimingSearch(
+        result = search(
             knee_runner(knee=knee, bad_slope=slope),
             SearchConfig(beta=beta, max_settings=6, runs_per_setting=1,
                          target_accuracy=0.92),
         )
-        found = search.search().switch_fraction
+        found = result.switch_fraction
         accuracy, _ = knee_runner(knee=knee, bad_slope=slope)(found, 0)
         assert abs(accuracy - 0.92) <= beta + 1e-12

@@ -4,17 +4,13 @@ import math
 
 import pytest
 
-from repro.core.search import (
-    OfflineTimingSearch,
-    ScheduleSearch,
-    SearchConfig,
-    boundary_fractions,
-)
+from repro.core.search import SearchConfig, boundary_fractions, run_search
 from repro.core.search.binary_search import (
     pick_best_schedule,
     validate_sequences,
 )
 from repro.errors import SearchError
+from search_oracle import algorithm1
 
 
 def two_phase_trial(fraction, run):
@@ -82,22 +78,29 @@ class TestValidateSequences:
 
 
 class TestTwoPhaseSpecialCase:
-    """N=2 bsp,asp must reproduce OfflineTimingSearch verbatim."""
+    """N=2 bsp,asp must reproduce the paper's Algorithm 1 verbatim."""
 
     def test_same_trial_stream_and_result(self):
-        offline = OfflineTimingSearch(two_phase_trial, CONFIG).search()
-        schedule = ScheduleSearch(schedule_trial, CONFIG).search()
+        schedule = run_search(schedule_trial, CONFIG)
+        switch, target, sessions = algorithm1(
+            two_phase_trial, beta=0.01, max_settings=4, runs=1, bsp_runs=2
+        )
         assert schedule.protocols == ("bsp", "asp")
-        assert schedule.switch_fraction == offline.switch_fraction
-        assert schedule.fractions[0] == offline.switch_fraction
-        assert schedule.target_accuracy == offline.target_accuracy
-        assert schedule.search_time == pytest.approx(offline.search_time)
+        assert schedule.switch_fraction == switch
+        assert schedule.fractions == (switch, 1.0 - switch)
+        assert schedule.target_accuracy == target
+        assert schedule.search_time == pytest.approx(
+            sum(time for *_, time in sessions)
+        )
         assert [
             (t.fractions[0], t.run_index, t.accuracy, t.time, t.valid)
             for t in schedule.trials
         ] == [
-            (t.switch_fraction, t.run_index, t.accuracy, t.time, t.valid)
-            for t in offline.trials
+            (
+                fraction, run, accuracy, time,
+                fraction == 1.0 or abs(accuracy - target) <= 0.01,
+            )
+            for fraction, run, accuracy, time in sessions
         ]
 
     def test_supplied_target_skips_opener_runs(self):
@@ -105,10 +108,12 @@ class TestTwoPhaseSpecialCase:
             beta=0.01, max_settings=3, runs_per_setting=1,
             target_accuracy=0.92,
         )
-        offline = OfflineTimingSearch(two_phase_trial, config).search()
-        schedule = ScheduleSearch(schedule_trial, config).search()
-        assert schedule.fractions[0] == offline.switch_fraction
-        assert schedule.n_sessions == offline.n_sessions == 3
+        schedule = run_search(schedule_trial, config)
+        switch, _, sessions = algorithm1(
+            two_phase_trial, beta=0.01, max_settings=3, runs=1, target=0.92
+        )
+        assert schedule.fractions[0] == switch
+        assert schedule.n_sessions == len(sessions) == 3
 
 
 class TestCoordinateDescent:
@@ -125,9 +130,7 @@ class TestCoordinateDescent:
             time = 50.0 + 100.0 * (1.0 - tail)
             return accuracy, time
 
-        result = ScheduleSearch(
-            trial, CONFIG, sequences=(("bsp", "ssp", "asp"),)
-        ).search()
+        result = run_search(trial, CONFIG, sequences=(("bsp", "ssp", "asp"),))
         assert result.protocols == ("bsp", "ssp", "asp")
         assert len(result.fractions) == 3
         assert sum(result.fractions) == pytest.approx(1.0)
@@ -144,11 +147,9 @@ class TestCoordinateDescent:
             time = 100.0 if len(protocols) == 3 else 200.0
             return accuracy, time
 
-        result = ScheduleSearch(
-            trial,
-            CONFIG,
-            sequences=(("bsp", "asp"), ("bsp", "ssp", "asp")),
-        ).search()
+        result = run_search(
+            trial, CONFIG, sequences=(("bsp", "asp"), ("bsp", "ssp", "asp"))
+        )
         assert result.protocols == ("bsp", "ssp", "asp")
         assert len(result.candidates) == 2
         labels = {candidate.protocols for candidate in result.candidates}
@@ -158,7 +159,7 @@ class TestCoordinateDescent:
         def trial(protocols, fractions, run):
             return (0.92 if fractions == (1.0, 0.0) else 0.5), 100.0
 
-        result = ScheduleSearch(trial, CONFIG).search()
+        result = run_search(trial, CONFIG)
         # No candidate setting was ever accepted: boundary stays at 1.0
         # (all-opener) and the price falls back to the opener-run mean.
         assert result.fractions == (1.0, 0.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.search import OfflineTimingSearch, SearchConfig
+from repro.core.search import SearchConfig, run_search
 from repro.experiments.setups import SETUPS
 
 
@@ -11,9 +11,10 @@ def search_outcome(tiny_runner_module):
     runner = tiny_runner_module
     setup = SETUPS[1]
 
-    def trial(fraction, run_index):
+    def trial(protocols, fractions, run_index):
+        percent = fractions[0] * 100.0
         result = runner.run(
-            setup, {"kind": "switch", "percent": fraction * 100.0}, run_index
+            setup, {"kind": "switch", "percent": percent}, run_index
         )
         accuracy = 0.0 if result.diverged else (result.reported_accuracy or 0.0)
         return accuracy, result.total_time
@@ -21,7 +22,7 @@ def search_outcome(tiny_runner_module):
     config = SearchConfig(
         beta=0.02, max_settings=3, runs_per_setting=2, bsp_runs=2
     )
-    return OfflineTimingSearch(trial, config).search()
+    return run_search(trial, config)
 
 
 @pytest.fixture(scope="module")

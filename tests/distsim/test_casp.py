@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.distsim.cluster import Cluster, ClusterSpec
-from repro.distsim.engines import ASPEngine, CASPEngine, make_engine
-from repro.distsim.engines.asp import COMM_FRACTION
+from repro.distsim.engines import (
+    ASPEngine,
+    CASPEngine,
+    engine_spec,
+    make_engine,
+)
 from repro.distsim.engines.base import TrainingSession
-from repro.distsim.job import JobConfig
+from repro.distsim.engines.casp import COMM_FRACTION
+from repro.distsim.job import JobConfig, Segment
 from repro.distsim.timing import timing_for
+from repro.errors import ConfigurationError
 from repro.mlcore.compression import (
     IdentityCompressor,
     QSGDCompressor,
@@ -81,10 +87,10 @@ class TestDedicatedStream:
     def test_compression_draws_do_not_shift_jitter_stream(self):
         """casp keeps ASP's timing/data streams bit-identical.
 
-        The legacy ASP ``compression`` option draws quantization noise
-        from the worker jitter stream (shifting every later draw); casp
-        must not.  Jitter streams are position-identical when the next
-        raw draws match.
+        Quantization noise comes from the dedicated compression stream,
+        never the worker jitter stream (which would shift every later
+        draw).  Jitter streams are position-identical when the next raw
+        draws match.
         """
         asp = make_session(seed=5)
         ASPEngine().run(asp, steps=40)
@@ -96,17 +102,14 @@ class TestDedicatedStream:
                 == casp.time_rng(worker).random()
             ), worker
 
-    def test_legacy_asp_compression_interleaves_instead(self):
-        plain = make_session(seed=5)
-        ASPEngine().run(plain, steps=40)
-        legacy = make_session(seed=5)
-        ASPEngine().run(legacy, steps=40, options={"compression": "qsgd"})
-        drifted = any(
-            plain.time_rng(worker).random()
-            != legacy.time_rng(worker).random()
-            for worker in range(4)
-        )
-        assert drifted
+    def test_plain_asp_has_no_compression_option(self):
+        """casp is the only compressing engine: an ASP segment asking
+        for compression fails instead of silently training dense."""
+        assert "compression" not in engine_spec("asp").config_schema
+        assert "compression" in engine_spec("casp").config_schema
+        with pytest.raises(ConfigurationError):
+            Segment("asp", 1.0, {"compression": "qsgd"})
+        Segment("casp", 1.0, {"compression": "qsgd"})
 
     def test_compression_stream_is_deterministic(self):
         first = make_session(seed=7).compression_rng(2).random(8)

@@ -52,6 +52,16 @@ class TestSegment:
         with pytest.raises(ConfigurationError):
             Segment("bsp", 1.5)
 
+    def test_undeclared_option_rejected(self):
+        """A misspelled knob must fail, not train with the default."""
+        with pytest.raises(ConfigurationError, match="lr_multipler"):
+            Segment("asp", 0.5, {"lr_multipler": 2.0})
+        with pytest.raises(ConfigurationError):
+            Segment("asp", 0.5, {"compression": "ternary"})
+        assert Segment("asp", 0.5, {"lr_multiplier": 2.0}).options == {
+            "lr_multiplier": 2.0
+        }
+
 
 class TestTrainingPlan:
     def test_static_plan(self):

@@ -14,10 +14,9 @@ from repro.fleet.policy_store import (
     ClassPolicy,
     JobClass,
     PolicyStore,
-    policy_from_search,
+    policy_from_schedule_search,
 )
-from repro.fleet.tuning import TimingSearchSession
-from repro.core.search.binary_search import SearchConfig
+from repro.core.search.binary_search import ScheduleSearchSession, SearchConfig
 from repro.fleet.workload import JobRequest, estimate_service_time
 
 CLS = JobClass(setup_index=1, n_workers=8)
@@ -98,15 +97,18 @@ class TestAmortizationAccounting:
         def trial(fraction, run):
             return 0.9, 60.0 if fraction == 0.5 else 100.0
 
-        session = TimingSearchSession(
+        session = ScheduleSearchSession(
             SearchConfig(beta=0.01, max_settings=1, runs_per_setting=1,
                          bsp_runs=1)
         )
         while not session.done:
-            for run, fraction in enumerate(session.next_batch()):
-                session.record(*trial(fraction, run))
-        policy = policy_from_search(CLS, session.result(), tuned_at=7.0)
+            for run, fractions in enumerate(session.next_batch()):
+                session.record(*trial(fractions[0], run))
+        policy = policy_from_schedule_search(
+            CLS, session.result(), tuned_at=7.0
+        )
         assert policy.percent == 50.0
+        assert policy.fractions is None  # two-phase: stored percent-only
         assert policy.bsp_time == pytest.approx(100.0)
         assert policy.policy_time == pytest.approx(60.0)
         assert policy.search_cost == pytest.approx(160.0)

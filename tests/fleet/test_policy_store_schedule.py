@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.search import ScheduleSearch, SearchConfig
+from repro.core.search import SearchConfig, run_search
 from repro.errors import FleetError
 from repro.fleet.policy_store import (
     STORE_FORMAT_VERSION,
@@ -100,7 +100,7 @@ class TestPayloadV2:
 
 
 class TestPolicyFromScheduleSearch:
-    def run_search(self):
+    def searched(self):
         def trial(protocols, fractions, run):
             accuracy = 0.92 if fractions[0] >= 0.25 else 0.80
             return accuracy, 50.0 + 100.0 * fractions[0]
@@ -108,12 +108,10 @@ class TestPolicyFromScheduleSearch:
         config = SearchConfig(
             beta=0.01, max_settings=3, runs_per_setting=1, bsp_runs=2
         )
-        return ScheduleSearch(
-            trial, config, sequences=(("bsp", "ssp", "asp"),)
-        ).search()
+        return run_search(trial, config, sequences=(("bsp", "ssp", "asp"),))
 
     def test_installable_policy_records_full_schedule(self):
-        result = self.run_search()
+        result = self.searched()
         policy = policy_from_schedule_search(CLS, result, tuned_at=5.0)
         assert policy.protocols == ("bsp", "ssp", "asp")
         assert policy.fractions == result.fractions
@@ -124,8 +122,24 @@ class TestPolicyFromScheduleSearch:
         store.install(policy)
         assert store.lookup(CLS).fractions == result.fractions
 
+    def test_two_phase_result_is_stored_percent_only(self):
+        """BSP -> ASP keeps the pre-schedule policy form (fractions=None)."""
+
+        def trial(protocols, fractions, run):
+            return (0.92 if fractions[0] >= 0.25 else 0.80), 100.0
+
+        config = SearchConfig(
+            beta=0.01, max_settings=3, runs_per_setting=1, bsp_runs=1
+        )
+        result = run_search(trial, config)
+        policy = policy_from_schedule_search(CLS, result, tuned_at=1.0)
+        assert result.fractions == (0.25, 0.75)
+        assert policy.protocols == ("bsp", "asp")
+        assert policy.fractions is None
+        assert policy.percent == 25.0
+
     def test_requires_opener_runs(self):
-        result = self.run_search()
+        result = self.searched()
         result.trials = [
             trial for trial in result.trials if trial.fractions[0] != 1.0
         ]

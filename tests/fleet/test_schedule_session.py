@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.search import ScheduleSearch, SearchConfig
+from repro.core.search import ScheduleSearchSession, SearchConfig, run_search
 from repro.errors import SearchError
-from repro.fleet.tuning import ScheduleSearchSession
+from repro.obs.tracer import Tracer
+from search_oracle import algorithm1
 
 
 def schedule_trial(protocols, fractions, run):
@@ -25,8 +26,25 @@ def drive(session):
     return session.result()
 
 
+def drive_like_the_fleet(session):
+    """Inverted control: completions arrive late, in reverse, traced."""
+    session.tracer = Tracer()
+    now = 0.0
+    while not session.done:
+        batch = session.next_batch()
+        protocols = session.protocols
+        outcomes = [
+            schedule_trial(protocols, fractions, run)
+            for run, fractions in enumerate(batch)
+        ]
+        for accuracy, time in reversed(outcomes):
+            now += time
+            session.record(accuracy, time, now=now)
+    return session.result()
+
+
 class TestEquivalenceWithOfflineScheduleSearch:
-    """The session must replay ScheduleSearch exactly."""
+    """Fleet-style driving must replay the offline closed loop exactly."""
 
     @pytest.mark.parametrize(
         "sequences",
@@ -37,8 +55,8 @@ class TestEquivalenceWithOfflineScheduleSearch:
         ],
     )
     def test_same_schedule_target_and_trials(self, sequences):
-        offline = ScheduleSearch(schedule_trial, CONFIG, sequences).search()
-        result = drive(ScheduleSearchSession(CONFIG, sequences))
+        offline = run_search(schedule_trial, CONFIG, sequences)
+        result = drive_like_the_fleet(ScheduleSearchSession(CONFIG, sequences))
         assert result.protocols == offline.protocols
         assert result.fractions == offline.fractions
         assert result.target_accuracy == offline.target_accuracy
@@ -55,8 +73,8 @@ class TestEquivalenceWithOfflineScheduleSearch:
 
     def test_candidate_prices_match(self):
         sequences = (("bsp", "asp"), ("bsp", "ssp", "asp"))
-        offline = ScheduleSearch(schedule_trial, CONFIG, sequences).search()
-        result = drive(ScheduleSearchSession(CONFIG, sequences))
+        offline = run_search(schedule_trial, CONFIG, sequences)
+        result = drive_like_the_fleet(ScheduleSearchSession(CONFIG, sequences))
         assert [
             (c.protocols, c.fractions, c.expected_time)
             for c in result.candidates
@@ -64,6 +82,35 @@ class TestEquivalenceWithOfflineScheduleSearch:
             (c.protocols, c.fractions, c.expected_time)
             for c in offline.candidates
         ]
+
+
+class TestHandDerivedSchedules:
+    def test_two_phase_is_the_papers_algorithm1(self):
+        result = drive(ScheduleSearchSession(CONFIG))
+        switch, target, sessions = algorithm1(
+            lambda fraction, run: schedule_trial(None, (fraction,), run),
+            beta=0.05, max_settings=4, runs=2, bsp_runs=2,
+        )
+        assert result.fractions == (switch, 1.0 - switch)
+        assert result.target_accuracy == target
+        assert [
+            (t.fractions[0], t.run_index, t.accuracy, t.time)
+            for t in result.trials
+        ] == sessions
+
+    def test_three_segment_boundaries_search_one_at_a_time(self):
+        """b1: 0.5 ok, 0.25 ok, 0.125 bad, 0.1875 bad -> 0.25; then b2
+        halves [0.25, 1] and every probe keeps the 25% opener: 0.625,
+        0.4375, 0.34375, 0.296875 all accepted."""
+        result = drive(ScheduleSearchSession(CONFIG, (("bsp", "ssp", "asp"),)))
+        probes = [t.fractions for t in result.trials[2::2]]
+        assert probes == [
+            (0.5, 0.5, 0.0), (0.25, 0.75, 0.0), (0.125, 0.875, 0.0),
+            (0.1875, 0.8125, 0.0), (0.25, 0.375, 0.375),
+            (0.25, 0.1875, 0.5625), (0.25, 0.09375, 0.65625),
+            (0.25, 0.046875, 0.703125),
+        ]
+        assert result.fractions == (0.25, 0.046875, 0.703125)
 
 
 class TestSessionProtocol:
